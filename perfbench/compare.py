@@ -11,8 +11,8 @@ run_seconds, and appends one line per run to the file.  `compare`
 prints, per workload and metric, each set's median and quartiles and
 the spread (quartile distance over median).  For each end-to-end
 metric it also says whether B's median stays within the metric's
-BENCHMARK.json bound of A's, and whether each set's spread does
-(setup_s excepted).  It also compares the share of failed operations.
+BENCHMARK.json bound of A's, and whether each set's spread does.
+It also compares the share of failed operations.
 The exit code is 1 when any of these checks fails.
 """
 
@@ -98,9 +98,7 @@ def compare(args):
             if name in bounds:
                 bound, better = bounds[name]["bound"], bounds[name]["better"]
                 worse = (mb - ma) / ma if better == "lower" else (ma - mb) / ma
-                checks = [worse <= bound]
-                if name != "setup_s":
-                    checks += [sa <= bound, sb <= bound]
+                checks = [worse <= bound, sa <= bound, sb <= bound]
                 verdict = f"{'within' if all(checks) else 'OUTSIDE'} bound {bound} (B worse by {worse:+.3f})"
                 ok = ok and all(checks)
             print(f"{name:26} {wa['units'][name]:7} {ma:14.6g} [{q1a:9.6g}, {q3a:9.6g}] "

@@ -18,6 +18,8 @@ module MS = Master_slave
 
 let work_root = "_perfbench"
 let setup_reps = 5
+let setup_budget_s = 1.0
+let setup_sample_ms = 20.
 let sim_periods = 8
 
 (* ---------------------------------------------------------------- *)
@@ -353,11 +355,12 @@ let replay_checks ctx ly s ~star =
 let star_slaves = 100
 let star_phase = R.of_int 4
 let star_phases = 16
+let star_pool = 16
 
-let churn_setup ~seed ~pool =
+let churn_setup ~seed =
   let slaves = List.init star_slaves (fun i -> (Ext_rat.of_ints (3 + (i mod 7)) 2, R.of_ints (2 + (i mod 5)) 3)) in
   let p = Platform_gen.star ~master_weight:Ext_rat.inf ~slaves () in
-  Array.init pool (fun i ->
+  Array.init star_pool (fun i ->
       scenario p ~seed:(sub_seed seed i) ~faults:(star_slaves / 2) ~phase:star_phase ~phases:star_phases)
 
 type churn_ref = { bound : R.t; cap : R.t }
@@ -420,6 +423,7 @@ let churn_round =
 let graph_nodes = 60
 let graph_chords = 15
 let graph_faults = 40
+let graph_pool = 16
 (* Epochs of 20 time units: the executors send floor(phase * rate)
    whole task files down each path of a phase's plan, and on these
    graphs the flow spreads over enough relay paths that epochs of 4
@@ -442,9 +446,9 @@ let graph_scenario s =
   let p = Platform_gen.random_connected_graph ~seed:s ~nodes:graph_nodes ~extra_edges:graph_chords () in
   scenario p ~seed:s ~faults:graph_faults ~phase:graph_phase ~phases:graph_phases
 
-let recover_setup ~seed ~pool =
+let recover_setup ~seed =
   {
-    scenarios = Array.init pool (fun i -> graph_scenario (sub_seed seed i));
+    scenarios = Array.init graph_pool (fun i -> graph_scenario (sub_seed seed i));
     resume_case = graph_scenario diverging_resume_seed;
   }
 
@@ -574,7 +578,7 @@ type instance = { label : string; p : P.t; tree : bool }
 
 type plan_pool = { graphs : instance array; small : instance array; large : instance array }
 
-let plan_setup ~seed ~pool:_ =
+let plan_setup ~seed =
   let tree i nodes =
     let s = sub_seed seed (1000 + i) in
     { label = Printf.sprintf "tree%d/%d" nodes i; p = Platform_gen.random_tree ~seed:s ~nodes (); tree = true }
@@ -654,9 +658,8 @@ let plan_round =
     let total = ref 0. in
     let kind name set =
       let times = Array.to_list set |> List.filter_map (plan_instance ctx ly refs seen) in
-      let sum = List.fold_left ( +. ) 0. times in
-      total := !total +. sum;
-      if times <> [] then sample ctx name (sum /. float_of_int (List.length times))
+      total := List.fold_left ( +. ) !total times;
+      List.iter (sample ctx name) times
     in
     kind "step1_ms" pool.graphs;
     kind "step2_ms" pool.small;
@@ -692,14 +695,47 @@ let per_layer =
       ("gc.minor_mwords", "Mwords"); ("gc.major_collections", "count"); ("trace.overhead_s", "s");
     ]
 
-(* Set up [setup_reps] times (the median is [setup_s]), then run whole
-   rounds until [seconds] have passed.  A traced run starts with one
-   untraced round and traces the next one on the same input: the
-   difference of their operation times is [trace.overhead_s]. *)
-let drive ctx ~name ~seed ~seconds ~pool ~setup ~round =
-  let built = List.init setup_reps (fun _ -> timed "setup" (fun () -> setup ~seed ~pool)) in
-  List.iter (fun (_, ms) -> sample ctx "setup_s" (ms /. 1000.)) built;
-  let inputs = fst (List.hd (List.rev built)) in
+(* Set-up is timed in samples of at least [setup_sample_ms]: several
+   set-ups on churn-star and recover-graph, one on plan.  Each sample
+   so carries its set-ups' share of GC work; timed one by one, a
+   set-up of a few ms had a median that moved by a quarter between runs,
+   with and without a major slice in it.  [setup_s] is the median time
+   per set-up over at least [setup_reps] samples taken over at least
+   [setup_budget_s].  Every result but the last is dropped before the
+   next one is built, so one input set is live while the run measures.
+   No collection is forced between set-ups: on OCaml 5.1, hundreds of
+   forced major collections left the heap of the later rounds several
+   times larger (churn-star 238 MB against 36 MB), which would put the
+   benchmark's own GC calls into [peak_heap_mb]. *)
+let set_up ctx ~seed setup =
+  let t0 = Spans.now_ns () and samples = ref 0 in
+  let timed_sample () =
+    let start = Spans.now_ns () in
+    let rec go n =
+      let inputs = setup ~seed in
+      let ms = ms_between start (Spans.now_ns ()) in
+      if ms < setup_sample_ms then go (n + 1)
+      else begin
+        sample ctx "setup_s" (ms /. 1000. /. float_of_int n);
+        incr samples;
+        inputs
+      end
+    in
+    go 1
+  in
+  let rec loop () =
+    let inputs = timed_sample () in
+    if !samples >= setup_reps && ms_between t0 (Spans.now_ns ()) >= setup_budget_s *. 1000. then inputs
+    else loop ()
+  in
+  loop ()
+
+(* Set up, then run whole rounds until [seconds] have passed.  A traced
+   run starts with one untraced round and traces the next one on the
+   same input: the difference of their operation times is
+   [trace.overhead_s]. *)
+let drive ctx ~name ~seed ~seconds ~setup ~round =
+  let inputs = set_up ctx ~seed setup in
   let t0 = Spans.now_ns () in
   let deadline = Int64.add t0 (Int64.of_float (seconds *. 1e9)) in
   let untraced_ms = ref nan in
@@ -768,9 +804,9 @@ let () =
     let ctx = { traced; attempted = 0; failed = 0; inconsistent = []; samples = Hashtbl.create 64 } in
     let name = !workload in
     (match name with
-    | "churn-star" -> drive ctx ~name ~seed ~seconds ~pool:16 ~setup:churn_setup ~round:churn_round
-    | "recover-graph" -> drive ctx ~name ~seed ~seconds ~pool:16 ~setup:recover_setup ~round:recover_round
-    | "plan" -> drive ctx ~name ~seed ~seconds ~pool:1 ~setup:plan_setup ~round:plan_round
+    | "churn-star" -> drive ctx ~name ~seed ~seconds ~setup:churn_setup ~round:churn_round
+    | "recover-graph" -> drive ctx ~name ~seed ~seconds ~setup:recover_setup ~round:recover_round
+    | "plan" -> drive ctx ~name ~seed ~seconds ~setup:plan_setup ~round:plan_round
     | _ -> usage ());
     print_result ctx (if traced then per_layer else end_to_end)
   | _ -> usage ()
